@@ -5,13 +5,18 @@ import repro.gd.ColumnSpec
 
 import scala.collection.mutable.ArrayBuffer
 
-/** Local PairwiseHist construction (Algorithm 1) over a collected sample.
+/** PairwiseHist construction (Algorithm 1) over value counts.
   *
   * Values are in the GD integer domain as Doubles; missing values are NaN.
   * Splits are equal-width (the paper tested both and chose equal-width).
-  * The distributed builder ([[DistributedBuilder]]) implements the same
-  * algorithm as iterative DataFrame aggregations and must produce identical
-  * synopses on the same sample — see DistributedBuilderSpec.
+  *
+  * The value-level histogram is the exact sufficient statistic for
+  * Algorithm 1: bin counts, unique counts, extrema and chi-squared sub-bin
+  * counts are all weighted reductions of it. So the one refinement core
+  * ([[wBuild1D]], [[buildPair]]) runs over sorted `(value, count)` pairs per
+  * column and `(vi, vj, count)` rows per column pair. [[build]] counts a
+  * collected sample locally; [[DistributedBuilder]] counts with DataFrame
+  * aggregations and feeds the same core.
   */
 object Builder {
 
@@ -37,19 +42,19 @@ object Builder {
     val nS = if (d == 0) 0L else sample(0).length.toLong
     val nullCounts = sample.map(_.count(_.isNaN).toLong)
 
-    val hist1d = Array.tabulate(d)(i => Hist1D(i, build1D(sample(i), m, alpha, initialEdges.get(i), nS)))
+    val counted = sample.map(valueCounts)
+    val hist1d = Array.tabulate(d) { i =>
+      val (vals, wts) = counted(i)
+      Hist1D(i, wBuild1D(vals, wts, initialEdges.get(i), nS, m, alpha))
+    }
 
+    val ranks = Array.tabulate(d)(i => valueRanks(sample(i), counted(i)._1))
     val hist2d = (for {
       i <- 1 until d
       j <- 0 until i
     } yield {
-      val h2 = build2D(sample(i), sample(j), hist1d(i).meta.edges, hist1d(j).meta.edges, m, alpha)
-      (i, j) -> Hist2D(
-        i, j,
-        shareDimMeta(h2.metaI, hist1d(i).meta),
-        shareDimMeta(h2.metaJ, hist1d(j).meta),
-        h2.counts
-      )
+      val rows = pairCounts(ranks(i), ranks(j), counted(i)._1, counted(j)._1)
+      (i, j) -> buildPair(i, j, rows, hist1d, m, alpha)
     }).toMap
 
     PairwiseHist(n, nS, m, alpha, specs, hist1d, hist2d, nullCounts)
@@ -81,60 +86,122 @@ object Builder {
     }
   }
 
+  // ------------------------------------------------------- value counts ----
+
+  /** Sorted distinct non-null values of a column and their multiplicities. */
+  private def valueCounts(values: Array[Double]): (Array[Double], Array[Long]) = {
+    val xs = values.filterNot(_.isNaN).sorted
+    val starts = xs.indices.filter(i => i == 0 || xs(i) != xs(i - 1)).toArray
+    val ends = starts.drop(1) :+ xs.length
+    (starts.map(xs(_)), Array.tabulate(starts.length)(q => (ends(q) - starts(q)).toLong))
+  }
+
+  /** Index of each row's value in the column's sorted distinct values; -1 for null. */
+  private def valueRanks(values: Array[Double], distinct: Array[Double]): Array[Int] =
+    values.map(v => if (v.isNaN) -1 else lowerBound(distinct, v))
+
+  /** (vi, vj, count) rows of a column pair from per-row value ranks. Rows
+    * with a null in either column are excluded from the pair (§3,
+    * missing-value support; SQL predicates on null fail).
+    */
+  private def pairCounts(
+      ri: Array[Int], rj: Array[Int], valsI: Array[Double], valsJ: Array[Double]
+  ): Array[(Double, Double, Long)] = {
+    val uJ = valsJ.length.toLong
+    val keys = new Array[Long](ri.length)
+    var nk = 0
+    var r = 0
+    while (r < ri.length) {
+      if (ri(r) >= 0 && rj(r) >= 0) { keys(nk) = ri(r) * uJ + rj(r); nk += 1 }
+      r += 1
+    }
+    java.util.Arrays.sort(keys, 0, nk)
+    val rows = ArrayBuffer.empty[(Double, Double, Long)]
+    var a = 0
+    while (a < nk) {
+      var b = a + 1
+      while (b < nk && keys(b) == keys(a)) b += 1
+      rows += ((valsI((keys(a) / uJ).toInt), valsJ((keys(a) % uJ).toInt), (b - a).toLong))
+      a = b
+    }
+    rows.toArray
+  }
+
   // ---------------------------------------------------------------- 1-d ----
 
-  /** One-dimensional histogram with recursive refinement (Alg 1 lines 3–12). */
+  /** One-dimensional histogram of a column's values (NaN for null). */
   def build1D(values: Array[Double], m: Long, alpha: Double, seeds: Option[Array[Double]], nS: Long): DimMeta = {
-    val xs = values.filterNot(_.isNaN).sorted
-    if (xs.isEmpty)
-      return DimMeta(Array(0.0, 1.0), Array(0.0), Array(1.0), Array(0L), Array(0L))
+    val (vals, wts) = valueCounts(values)
+    wBuild1D(vals, wts, seeds, nS, m, alpha)
+  }
 
-    val mn = xs.head
-    val mx = xs.last
+  /** One-dimensional histogram with recursive refinement (Alg 1 lines 3–12)
+    * over sorted distinct values `vals` with multiplicities `wts`.
+    */
+  def wBuild1D(
+      vals: Array[Double], wts: Array[Long],
+      seeds: Option[Array[Double]], nS: Long, m: Long, alpha: Double
+  ): DimMeta = {
+    if (vals.isEmpty)
+      return DimMeta(Array(0.0, 1.0), Array(0.0), Array(1.0), Array(0L), Array(0L))
+    val mn = vals.head
+    val mx = vals.last
     if (mn == mx)
-      return DimMeta(Array(mn, mn + 1.0), Array(mn), Array(mn), Array(1L), Array(xs.length.toLong))
+      return DimMeta(Array(mn, mn + 1.0), Array(mn), Array(mn), Array(1L), Array(wts.sum))
 
     val init = initialEdgeVector(mn, mx, seeds, nS, m)
-
     val edges = ArrayBuffer(init.head)
     val vMin = ArrayBuffer.empty[Double]
     val vMax = ArrayBuffer.empty[Double]
     val uniq = ArrayBuffer.empty[Long]
-
     var t = 0
     while (t < init.length - 1) {
       val lo = init(t)
       val hi = init(t + 1)
       val last = t == init.length - 2
-      val slice = sliceSorted(xs, lo, hi, closedHi = last)
-      val (e2, v2m, v2x, u2) = refine1D(lo, hi, slice, m, alpha)
+      val a = lowerBound(vals, lo)
+      val b = if (last) upperBound(vals, hi) else lowerBound(vals, hi)
+      val (e2, v2m, v2x, u2) = wRefine1D(lo, hi, vals, wts, a, b, m, alpha)
       edges ++= e2; vMin ++= v2m; vMax ++= v2x; uniq ++= u2
       t += 1
     }
-
     val edgeArr = edges.toArray
-    val counts = histCounts(xs, edgeArr)
+    val counts = new Array[Long](edgeArr.length - 1)
+    var q = 0
+    while (q < vals.length) {
+      counts(binIndex(edgeArr, vals(q))) += wts(q)
+      q += 1
+    }
     DimMeta(edgeArr, vMin.toArray, vMax.toArray, uniq.toArray, counts)
   }
 
-  /** RefineBin1D (Algorithm 2): returns per-resulting-bin
-    * (upper edges, bin minima, bin maxima, unique counts).
+  /** RefineBin1D (Algorithm 2) over vals(from until until): returns
+    * per-resulting-bin (upper edges, bin minima, bin maxima, unique counts).
     */
-  def refine1D(
-      eL: Double, eR: Double, xs: Array[Double], m: Long, alpha: Double
+  private def wRefine1D(
+      eL: Double, eR: Double,
+      vals: Array[Double], wts: Array[Long], from: Int, until: Int,
+      m: Long, alpha: Double
   ): (Seq[Double], Seq[Double], Seq[Double], Seq[Long]) = {
-    if (xs.isEmpty) return (Seq(eR), Seq(eL), Seq(eR), Seq(0L))
-    val u = countDistinctSorted(xs)
-    if (u == 1) return (Seq(eR), Seq(xs.head), Seq(xs.head), Seq(1L))
+    val u = (until - from).toLong // distinct values in range (vals are distinct)
+    if (u == 0) return (Seq(eR), Seq(eL), Seq(eR), Seq(0L))
+    if (u == 1) return (Seq(eR), Seq(vals(from)), Seq(vals(from)), Seq(1L))
+    var h = 0L
+    var q = from
+    while (q < until) { h += wts(q); q += 1 }
     val splittable = eR - eL > Theorems.Mu
-    if (xs.length < m || !splittable || HypothesisTest.isUniform(xs, eL, eR, u, alpha))
-      return (Seq(eR), Seq(xs.head), Seq(xs.last), Seq(u))
+    lazy val uniform = HypothesisTest.isUniformCounts(
+      HypothesisTest.subBinCounts(vals.slice(from, until), wts.slice(from, until), eL, eR, HypothesisTest.subBins(u)),
+      alpha
+    )
+    if (h < m || !splittable || uniform)
+      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
     val z = (eL + eR) / 2 // equal-width split
-    if (z <= eL || z >= eR) return (Seq(eR), Seq(xs.head), Seq(xs.last), Seq(u))
-    val cut = lowerBound(xs, z)
-    val (l, r) = xs.splitAt(cut)
-    val (eA, vA, xA, uA) = refine1D(eL, z, l, m, alpha)
-    val (eB, vB, xB, uB) = refine1D(z, eR, r, m, alpha)
+    if (z <= eL || z >= eR)
+      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
+    val cut = math.min(until, math.max(from, lowerBound(vals, z)))
+    val (eA, vA, xA, uA) = wRefine1D(eL, z, vals, wts, from, cut, m, alpha)
+    val (eB, vB, xB, uB) = wRefine1D(z, eR, vals, wts, cut, until, m, alpha)
     (eA ++ eB, vA ++ vB, xA ++ xB, uA ++ uB)
   }
 
@@ -166,36 +233,53 @@ object Builder {
 
   // ---------------------------------------------------------------- 2-d ----
 
-  /** Two-dimensional histogram (Alg 1 lines 13–26): initial edges from the
-    * 1-d histograms, RefineBin2D per initial cell with at least M points,
-    * then a full recount + marginal metadata on the union of edges.
-    */
+  /** Two-dimensional histogram of two columns' row-aligned values (NaN for null). */
   def build2D(
       xi: Array[Double], xj: Array[Double],
       edgesI0: Array[Double], edgesJ0: Array[Double],
       m: Long, alpha: Double
   ): Hist2D = {
-    // Rows with a null in either column are excluded from this pair (§3,
-    // missing-value support; SQL predicates on null fail).
-    val pairs = ArrayBuffer.empty[(Double, Double)]
-    var r = 0
-    while (r < xi.length) {
-      if (!xi(r).isNaN && !xj(r).isNaN) pairs += ((xi(r), xj(r)))
-      r += 1
-    }
-    val pi = pairs.map(_._1).toArray
-    val pj = pairs.map(_._2).toArray
+    val valsI = valueCounts(xi)._1
+    val valsJ = valueCounts(xj)._1
+    val rows = pairCounts(valueRanks(xi, valsI), valueRanks(xj, valsJ), valsI, valsJ)
+    wBuild2D(rows, edgesI0, edgesJ0, m, alpha)
+  }
 
+  /** The pair (i, j) histogram from its (vi, vj, count) rows, refined from
+    * the 1-d edges, with Eq 12 metadata sharing applied ([[shareDimMeta]]).
+    */
+  def buildPair(
+      i: Int, j: Int, rows: Array[(Double, Double, Long)],
+      hist1d: Array[Hist1D], m: Long, alpha: Double
+  ): Hist2D = {
+    val h2 = wBuild2D(rows, hist1d(i).meta.edges, hist1d(j).meta.edges, m, alpha)
+    Hist2D(i, j, shareDimMeta(h2.metaI, hist1d(i).meta), shareDimMeta(h2.metaJ, hist1d(j).meta), h2.counts)
+  }
+
+  /** Two-dimensional histogram (Alg 1 lines 13–26) over (vi, vj, count)
+    * rows: initial edges from the 1-d histograms, RefineBin2D per initial
+    * cell with at least M points, then a full recount + marginal metadata on
+    * the union of edges.
+    */
+  private def wBuild2D(
+      rows: Array[(Double, Double, Long)],
+      edgesI0: Array[Double], edgesJ0: Array[Double],
+      m: Long, alpha: Double
+  ): Hist2D = {
     val newI = ArrayBuffer.empty[Double]
     val newJ = ArrayBuffer.empty[Double]
 
     // Iterate over initial cells; refine each independently (Alg 1 line 17).
-    val cellPoints = groupByCell(pi, pj, edgesI0, edgesJ0)
-    cellPoints.foreach { case ((ti, tj), idxs) =>
-      if (idxs.length >= m) {
-        val (ei, ej) = refine2D(
+    val byCell = scala.collection.mutable.Map.empty[(Int, Int), ArrayBuffer[(Double, Double, Long)]]
+    rows.foreach { r =>
+      val key = (binIndex(edgesI0, r._1), binIndex(edgesJ0, r._2))
+      byCell.getOrElseUpdate(key, ArrayBuffer.empty) += r
+    }
+    byCell.foreach { case ((ti, tj), cell) =>
+      if (cell.map(_._3).sum >= m) {
+        val (ei, ej) = wRefine2D(
           edgesI0(ti), edgesI0(ti + 1), edgesJ0(tj), edgesJ0(tj + 1),
-          idxs.map(pi(_)), idxs.map(pj(_)), m, alpha
+          cell.toArray, m, alpha
         )
         newI ++= ei
         newJ ++= ej
@@ -204,50 +288,47 @@ object Builder {
 
     val edgesI = (edgesI0 ++ newI).distinct.sorted
     val edgesJ = (edgesJ0 ++ newJ).distinct.sorted
-
-    finalize2D(pi, pj, edgesI, edgesJ)
+    wFinalize2D(rows, edgesI, edgesJ)
   }
 
   /** RefineBin2D: test uniformity in each dimension; split the least uniform
     * dimension at its midpoint; recurse. Returns new edges per dimension.
     */
-  def refine2D(
+  private def wRefine2D(
       loI: Double, hiI: Double, loJ: Double, hiJ: Double,
-      xi: Array[Double], xj: Array[Double], m: Long, alpha: Double
+      cell: Array[(Double, Double, Long)], m: Long, alpha: Double
   ): (Seq[Double], Seq[Double]) = {
-    if (xi.length < m) return (Nil, Nil)
+    val h = cell.map(_._3).sum
+    if (h < m) return (Nil, Nil)
 
-    def dimScore(xs: Array[Double], lo: Double, hi: Double): Double = {
+    def dimScore(pick: ((Double, Double, Long)) => Double, lo: Double, hi: Double): Double = {
       if (hi - lo <= Theorems.Mu) return 0.0 // cannot split further
-      val u = countDistinct(xs)
-      val s = HypothesisTest.subBins(u)
+      val values = cell.map(pick)
+      val s = HypothesisTest.subBins(values.distinct.length.toLong)
       if (s < 2) 0.0
       else {
-        val chi2 = HypothesisTest.statistic(HypothesisTest.subBinCounts(xs, lo, hi, s))
+        val chi2 = HypothesisTest.statistic(HypothesisTest.subBinCounts(values, cell.map(_._3), lo, hi, s))
         chi2 / HypothesisTest.criticalValue(alpha, s - 1) // > 1 means reject
       }
     }
 
-    val scoreI = dimScore(xi, loI, hiI)
-    val scoreJ = dimScore(xj, loJ, hiJ)
+    val scoreI = dimScore(_._1, loI, hiI)
+    val scoreJ = dimScore(_._2, loJ, hiJ)
     if (scoreI <= 1.0 && scoreJ <= 1.0) return (Nil, Nil)
 
-    val splitI = scoreI >= scoreJ
-    if (splitI) {
+    if (scoreI >= scoreJ) {
       val z = (loI + hiI) / 2
       if (z <= loI || z >= hiI) return (Nil, Nil)
-      val leftIdx = xi.indices.filter(xi(_) < z)
-      val rightIdx = xi.indices.filter(xi(_) >= z)
-      val (aI, aJ) = refine2D(loI, z, loJ, hiJ, leftIdx.map(xi(_)).toArray, leftIdx.map(xj(_)).toArray, m, alpha)
-      val (bI, bJ) = refine2D(z, hiI, loJ, hiJ, rightIdx.map(xi(_)).toArray, rightIdx.map(xj(_)).toArray, m, alpha)
+      val (l, r) = cell.partition(_._1 < z)
+      val (aI, aJ) = wRefine2D(loI, z, loJ, hiJ, l, m, alpha)
+      val (bI, bJ) = wRefine2D(z, hiI, loJ, hiJ, r, m, alpha)
       (z +: (aI ++ bI), aJ ++ bJ)
     } else {
       val z = (loJ + hiJ) / 2
       if (z <= loJ || z >= hiJ) return (Nil, Nil)
-      val leftIdx = xj.indices.filter(xj(_) < z)
-      val rightIdx = xj.indices.filter(xj(_) >= z)
-      val (aI, aJ) = refine2D(loI, hiI, loJ, z, leftIdx.map(xi(_)).toArray, leftIdx.map(xj(_)).toArray, m, alpha)
-      val (bI, bJ) = refine2D(loI, hiI, z, hiJ, rightIdx.map(xi(_)).toArray, rightIdx.map(xj(_)).toArray, m, alpha)
+      val (l, r) = cell.partition(_._2 < z)
+      val (aI, aJ) = wRefine2D(loI, hiI, loJ, z, l, m, alpha)
+      val (bI, bJ) = wRefine2D(loI, hiI, z, hiJ, r, m, alpha)
       (aI ++ bI, z +: (aJ ++ bJ))
     }
   }
@@ -255,51 +336,47 @@ object Builder {
   /** Final recount + per-dimension marginal metadata on the union edges
     * (Alg 1 lines 22–26).
     */
-  def finalize2D(pi: Array[Double], pj: Array[Double], edgesI: Array[Double], edgesJ: Array[Double]): Hist2D = {
+  private def wFinalize2D(
+      rows: Array[(Double, Double, Long)], edgesI: Array[Double], edgesJ: Array[Double]
+  ): Hist2D = {
     val kI = edgesI.length - 1
     val kJ = edgesJ.length - 1
     val counts = Array.fill(kI)(new Array[Long](kJ))
-    val metaI = MarginAcc(kI)
-    val metaJ = MarginAcc(kJ)
-    var r = 0
-    while (r < pi.length) {
-      val ti = binIndex(edgesI, pi(r))
-      val tj = binIndex(edgesJ, pj(r))
-      counts(ti)(tj) += 1
-      metaI.add(ti, pi(r))
-      metaJ.add(tj, pj(r))
-      r += 1
+    val minI = Array.fill(kI)(Double.NaN); val maxI = Array.fill(kI)(Double.NaN)
+    val minJ = Array.fill(kJ)(Double.NaN); val maxJ = Array.fill(kJ)(Double.NaN)
+    val cntI = new Array[Long](kI); val cntJ = new Array[Long](kJ)
+    val setI = Array.fill(kI)(new java.util.HashSet[java.lang.Double]())
+    val setJ = Array.fill(kJ)(new java.util.HashSet[java.lang.Double]())
+    rows.foreach { case (vi, vj, w) =>
+      val ti = binIndex(edgesI, vi)
+      val tj = binIndex(edgesJ, vj)
+      counts(ti)(tj) += w
+      cntI(ti) += w; cntJ(tj) += w
+      if (minI(ti).isNaN || vi < minI(ti)) minI(ti) = vi
+      if (maxI(ti).isNaN || vi > maxI(ti)) maxI(ti) = vi
+      if (minJ(tj).isNaN || vj < minJ(tj)) minJ(tj) = vj
+      if (maxJ(tj).isNaN || vj > maxJ(tj)) maxJ(tj) = vj
+      setI(ti).add(vi); setJ(tj).add(vj)
     }
-    Hist2D(0, 0, metaI.toDimMeta(edgesI), metaJ.toDimMeta(edgesJ), counts)
-  }
-
-  /** Accumulates marginal min/max/count/distinct per bin along a dimension. */
-  private final case class MarginAcc(k: Int) {
-    val vMin: Array[Double] = Array.fill(k)(Double.NaN)
-    val vMax: Array[Double] = Array.fill(k)(Double.NaN)
-    val cnt: Array[Long] = new Array[Long](k)
-    val sets: Array[java.util.HashSet[java.lang.Double]] =
-      Array.fill(k)(new java.util.HashSet[java.lang.Double]())
-
-    def add(t: Int, v: Double): Unit = {
-      cnt(t) += 1
-      if (vMin(t).isNaN || v < vMin(t)) vMin(t) = v
-      if (vMax(t).isNaN || v > vMax(t)) vMax(t) = v
-      sets(t).add(v)
+    def meta(edges: Array[Double], mn: Array[Double], mx: Array[Double], cnt: Array[Long],
+             sets: Array[java.util.HashSet[java.lang.Double]]): DimMeta = {
+      val k = cnt.length
+      DimMeta(
+        edges,
+        Array.tabulate(k)(t => if (mn(t).isNaN) edges(t) else mn(t)),
+        Array.tabulate(k)(t => if (mx(t).isNaN) edges(t + 1) else mx(t)),
+        sets.map(_.size.toLong),
+        cnt
+      )
     }
-
-    def toDimMeta(edges: Array[Double]): DimMeta = {
-      val mn = Array.tabulate(k)(t => if (vMin(t).isNaN) edges(t) else vMin(t))
-      val mx = Array.tabulate(k)(t => if (vMax(t).isNaN) edges(t + 1) else vMax(t))
-      DimMeta(edges, mn, mx, sets.map(_.size.toLong), cnt.clone())
-    }
+    Hist2D(0, 0, meta(edgesI, minI, maxI, cntI, setI), meta(edgesJ, minJ, maxJ, cntJ, setJ), counts)
   }
 
   /** Eq 12's storage model: a pair-dimension bin whose edges coincide with
     * a 1-d bin SHARES that bin's metadata (only additional refined bins
     * carry their own). Applying the sharing at build time keeps the codec a
-    * lossless round-trip and both builders identical. Marginal counts stay
-    * exact (they are rederivable from the count matrix).
+    * lossless round-trip. Marginal counts stay exact (they are rederivable
+    * from the count matrix).
     */
   def shareDimMeta(pairMeta: DimMeta, oneD: DimMeta): DimMeta = {
     val parentBins = (0 until oneD.k).map(t => (oneD.edges(t), oneD.edges(t + 1)) -> t).toMap
@@ -333,24 +410,6 @@ object Builder {
     lo
   }
 
-  /** Standard Hist over sorted values given edges. */
-  def histCounts(xsSorted: Array[Double], edges: Array[Double]): Array[Long] = {
-    val k = edges.length - 1
-    val counts = new Array[Long](k)
-    var i = 0
-    while (i < xsSorted.length) {
-      counts(binIndex(edges, xsSorted(i))) += 1
-      i += 1
-    }
-    counts
-  }
-
-  private def sliceSorted(xs: Array[Double], lo: Double, hi: Double, closedHi: Boolean): Array[Double] = {
-    val a = lowerBound(xs, lo)
-    val b = if (closedHi) upperBound(xs, hi) else lowerBound(xs, hi)
-    xs.slice(a, b)
-  }
-
   /** First index with xs(idx) >= v. */
   def lowerBound(xs: Array[Double], v: Double): Int = {
     var lo = 0; var hi = xs.length
@@ -369,37 +428,5 @@ object Builder {
       if (xs(mid) <= v) lo = mid + 1 else hi = mid
     }
     lo
-  }
-
-  def countDistinctSorted(xsSorted: Array[Double]): Long = {
-    if (xsSorted.isEmpty) 0L
-    else {
-      var u = 1L
-      var i = 1
-      while (i < xsSorted.length) {
-        if (xsSorted(i) != xsSorted(i - 1)) u += 1
-        i += 1
-      }
-      u
-    }
-  }
-
-  def countDistinct(xs: Array[Double]): Long = {
-    val set = new java.util.HashSet[java.lang.Double]()
-    xs.foreach(set.add(_))
-    set.size.toLong
-  }
-
-  private def groupByCell(
-      pi: Array[Double], pj: Array[Double], edgesI: Array[Double], edgesJ: Array[Double]
-  ): Map[(Int, Int), Array[Int]] = {
-    val byCell = scala.collection.mutable.Map.empty[(Int, Int), ArrayBuffer[Int]]
-    var r = 0
-    while (r < pi.length) {
-      val key = (binIndex(edgesI, pi(r)), binIndex(edgesJ, pj(r)))
-      byCell.getOrElseUpdate(key, ArrayBuffer.empty) += r
-      r += 1
-    }
-    byCell.map { case (k, v) => k -> v.toArray }.toMap
   }
 }

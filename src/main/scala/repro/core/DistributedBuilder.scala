@@ -8,16 +8,12 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Distributed PairwiseHist construction (the `distributed_dataflow` path).
   *
-  * The value-level histogram `(column, value) -> count` is the exact
-  * sufficient statistic for Algorithm 1: bin counts, unique counts,
-  * extrema and chi-squared sub-bin counts are all weighted reductions of
-  * it. So the heavy pass over the data is a DataFrame aggregation —
-  * partially aggregated per partition by Catalyst, then combined — and the
-  * recursive hypothesis-testing refinement runs on the driver over the
-  * compact statistics. Pair statistics `(pair, vi, vj) -> count` are
-  * gathered the same way in bounded batches of column pairs.
-  *
-  * Produces bit-identical synopses to [[Builder]] on the same sample
+  * The heavy pass over the data is DataFrame aggregations, partially
+  * aggregated per partition by Catalyst and then combined: null counts, the
+  * value-level histogram `(column, value) -> count`, and pair statistics
+  * `(pair, vi, vj) -> count` gathered in bounded batches of column pairs.
+  * Those counts feed the one refinement core in [[Builder]] on the driver,
+  * so the synopsis is bit-identical to [[Builder.build]] on the same sample
   * (verified by DistributedBuilderSpec).
   */
 object DistributedBuilder {
@@ -66,9 +62,7 @@ object DistributedBuilder {
     val sorted = perCol.map(_.sortBy(_._1).toArray)
 
     val hist1d = Array.tabulate(d) { i =>
-      val vals = sorted(i).map(_._1)
-      val wts = sorted(i).map(_._2)
-      Hist1D(i, wBuild1D(vals, wts, initialEdges.get(i), nS, m, alpha))
+      Hist1D(i, Builder.wBuild1D(sorted(i).map(_._1), sorted(i).map(_._2), initialEdges.get(i), nS, m, alpha))
     }
 
     // Pair batches sized by the expected number of distinct (vi, vj) rows.
@@ -87,7 +81,7 @@ object DistributedBuilder {
     if (cur.nonEmpty) batches += cur
 
     val hist2d = scala.collection.mutable.Map.empty[(Int, Int), Hist2D]
-    batches.zipWithIndex.foreach { case (batch, bi) =>
+    batches.foreach { batch =>
       val p = batch.length
       val entries = batch.zipWithIndex
         .map { case ((i, j), pid) => s"$pid, `${cols(i)}`, `${cols(j)}`" }
@@ -103,221 +97,11 @@ object DistributedBuilder {
         byPair(r.getInt(0)) += ((r.getLong(1).toDouble, r.getLong(2).toDouble, r.getLong(3)))
       }
       batch.zipWithIndex.foreach { case ((i, j), pid) =>
-        val rows = byPair(pid).toArray
-        val h2 = wBuild2D(
-          rows,
-          hist1d(i).meta.edges, hist1d(j).meta.edges,
-          m, alpha
-        )
-        hist2d((i, j)) = Hist2D(
-          i, j,
-          Builder.shareDimMeta(h2.metaI, hist1d(i).meta),
-          Builder.shareDimMeta(h2.metaJ, hist1d(j).meta),
-          h2.counts
-        )
+        hist2d((i, j)) = Builder.buildPair(i, j, byPair(pid).toArray, hist1d, m, alpha)
       }
-      val _ = bi
     }
 
     gdSample.unpersist()
     PairwiseHist(n, nS, m, alpha, specs, hist1d, hist2d.toMap, nullCounts)
-  }
-
-  // -------------------------------------------------- weighted refinement ----
-
-  /** 1-d build over a (sorted values, weights) histogram — the weighted
-    * mirror of [[Builder.build1D]].
-    */
-  def wBuild1D(
-      vals: Array[Double], wts: Array[Long],
-      seeds: Option[Array[Double]], nS: Long, m: Long, alpha: Double
-  ): DimMeta = {
-    if (vals.isEmpty)
-      return DimMeta(Array(0.0, 1.0), Array(0.0), Array(1.0), Array(0L), Array(0L))
-    val mn = vals.head
-    val mx = vals.last
-    if (mn == mx)
-      return DimMeta(Array(mn, mn + 1.0), Array(mn), Array(mn), Array(1L), Array(wts.sum))
-
-    val init = Builder.initialEdgeVector(mn, mx, seeds, nS, m)
-    val edges = ArrayBuffer(init.head)
-    val vMin = ArrayBuffer.empty[Double]
-    val vMax = ArrayBuffer.empty[Double]
-    val uniq = ArrayBuffer.empty[Long]
-    var t = 0
-    while (t < init.length - 1) {
-      val lo = init(t)
-      val hi = init(t + 1)
-      val last = t == init.length - 2
-      val a = Builder.lowerBound(vals, lo)
-      val b = if (last) Builder.upperBound(vals, hi) else Builder.lowerBound(vals, hi)
-      val (e2, v2m, v2x, u2) = wRefine1D(lo, hi, vals, wts, a, b, m, alpha)
-      edges ++= e2; vMin ++= v2m; vMax ++= v2x; uniq ++= u2
-      t += 1
-    }
-    val edgeArr = edges.toArray
-    val counts = new Array[Long](edgeArr.length - 1)
-    var q = 0
-    while (q < vals.length) {
-      counts(Builder.binIndex(edgeArr, vals(q))) += wts(q)
-      q += 1
-    }
-    DimMeta(edgeArr, vMin.toArray, vMax.toArray, uniq.toArray, counts)
-  }
-
-  /** Weighted RefineBin1D over vals(from until until). */
-  private def wRefine1D(
-      eL: Double, eR: Double,
-      vals: Array[Double], wts: Array[Long], from: Int, until: Int,
-      m: Long, alpha: Double
-  ): (Seq[Double], Seq[Double], Seq[Double], Seq[Long]) = {
-    val u = (until - from).toLong // distinct values in range (vals are distinct)
-    if (u == 0) return (Seq(eR), Seq(eL), Seq(eR), Seq(0L))
-    if (u == 1) return (Seq(eR), Seq(vals(from)), Seq(vals(from)), Seq(1L))
-    var h = 0L
-    var q = from
-    while (q < until) { h += wts(q); q += 1 }
-    val splittable = eR - eL > Theorems.Mu
-    val uniform = {
-      val s = HypothesisTest.subBins(u)
-      if (s < 2) true
-      else {
-        val counts = new Array[Long](s)
-        val width = eR - eL
-        var i = from
-        while (i < until) {
-          val r0 = if (width <= 0) 0 else ((vals(i) - eL) / width * s).toInt
-          counts(math.min(s - 1, math.max(0, r0))) += wts(i)
-          i += 1
-        }
-        HypothesisTest.statistic(counts) <= HypothesisTest.criticalValue(alpha, s - 1)
-      }
-    }
-    if (h < m || !splittable || uniform)
-      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
-    val z = (eL + eR) / 2
-    if (z <= eL || z >= eR)
-      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
-    val cut = Builder.lowerBound(vals, z) match {
-      case c if c < from  => from
-      case c if c > until => until
-      case c              => c
-    }
-    val (eA, vA, xA, uA) = wRefine1D(eL, z, vals, wts, from, cut, m, alpha)
-    val (eB, vB, xB, uB) = wRefine1D(z, eR, vals, wts, cut, until, m, alpha)
-    (eA ++ eB, vA ++ vB, xA ++ xB, uA ++ uB)
-  }
-
-  /** 2-d build over (vi, vj, weight) rows — weighted mirror of
-    * [[Builder.build2D]]. Refinement iterates over initial cells from the
-    * 1-d edges, exactly as Algorithm 1 lines 17–21.
-    */
-  def wBuild2D(
-      rows: Array[(Double, Double, Long)],
-      edgesI0: Array[Double], edgesJ0: Array[Double],
-      m: Long, alpha: Double
-  ): Hist2D = {
-    val newI = ArrayBuffer.empty[Double]
-    val newJ = ArrayBuffer.empty[Double]
-
-    val byCell = scala.collection.mutable.Map.empty[(Int, Int), ArrayBuffer[(Double, Double, Long)]]
-    rows.foreach { r =>
-      val key = (Builder.binIndex(edgesI0, r._1), Builder.binIndex(edgesJ0, r._2))
-      byCell.getOrElseUpdate(key, ArrayBuffer.empty) += r
-    }
-    byCell.foreach { case ((ti, tj), cell) =>
-      if (cell.map(_._3).sum >= m) {
-        val (ei, ej) = wRefine2D(
-          edgesI0(ti), edgesI0(ti + 1), edgesJ0(tj), edgesJ0(tj + 1),
-          cell.toArray, m, alpha
-        )
-        newI ++= ei
-        newJ ++= ej
-      }
-    }
-
-    val edgesI = (edgesI0 ++ newI).distinct.sorted
-    val edgesJ = (edgesJ0 ++ newJ).distinct.sorted
-    wFinalize2D(rows, edgesI, edgesJ)
-  }
-
-  private def wRefine2D(
-      loI: Double, hiI: Double, loJ: Double, hiJ: Double,
-      cell: Array[(Double, Double, Long)], m: Long, alpha: Double
-  ): (Seq[Double], Seq[Double]) = {
-    val h = cell.map(_._3).sum
-    if (h < m) return (Nil, Nil)
-
-    def dimScore(pick: ((Double, Double, Long)) => Double, lo: Double, hi: Double): Double = {
-      if (hi - lo <= Theorems.Mu) return 0.0
-      val distinct = cell.map(pick).distinct
-      val s = HypothesisTest.subBins(distinct.length.toLong)
-      if (s < 2) 0.0
-      else {
-        val counts = new Array[Long](s)
-        val width = hi - lo
-        cell.foreach { r =>
-          val r0 = if (width <= 0) 0 else ((pick(r) - lo) / width * s).toInt
-          counts(math.min(s - 1, math.max(0, r0))) += r._3
-        }
-        HypothesisTest.statistic(counts) / HypothesisTest.criticalValue(alpha, s - 1)
-      }
-    }
-
-    val scoreI = dimScore(_._1, loI, hiI)
-    val scoreJ = dimScore(_._2, loJ, hiJ)
-    if (scoreI <= 1.0 && scoreJ <= 1.0) return (Nil, Nil)
-
-    if (scoreI >= scoreJ) {
-      val z = (loI + hiI) / 2
-      if (z <= loI || z >= hiI) return (Nil, Nil)
-      val (l, r) = cell.partition(_._1 < z)
-      val (aI, aJ) = wRefine2D(loI, z, loJ, hiJ, l, m, alpha)
-      val (bI, bJ) = wRefine2D(z, hiI, loJ, hiJ, r, m, alpha)
-      (z +: (aI ++ bI), aJ ++ bJ)
-    } else {
-      val z = (loJ + hiJ) / 2
-      if (z <= loJ || z >= hiJ) return (Nil, Nil)
-      val (l, r) = cell.partition(_._2 < z)
-      val (aI, aJ) = wRefine2D(loI, hiI, loJ, z, l, m, alpha)
-      val (bI, bJ) = wRefine2D(loI, hiI, z, hiJ, r, m, alpha)
-      (aI ++ bI, z +: (aJ ++ bJ))
-    }
-  }
-
-  private def wFinalize2D(
-      rows: Array[(Double, Double, Long)], edgesI: Array[Double], edgesJ: Array[Double]
-  ): Hist2D = {
-    val kI = edgesI.length - 1
-    val kJ = edgesJ.length - 1
-    val counts = Array.fill(kI)(new Array[Long](kJ))
-    val minI = Array.fill(kI)(Double.NaN); val maxI = Array.fill(kI)(Double.NaN)
-    val minJ = Array.fill(kJ)(Double.NaN); val maxJ = Array.fill(kJ)(Double.NaN)
-    val cntI = new Array[Long](kI); val cntJ = new Array[Long](kJ)
-    val setI = Array.fill(kI)(new java.util.HashSet[java.lang.Double]())
-    val setJ = Array.fill(kJ)(new java.util.HashSet[java.lang.Double]())
-    rows.foreach { case (vi, vj, w) =>
-      val ti = Builder.binIndex(edgesI, vi)
-      val tj = Builder.binIndex(edgesJ, vj)
-      counts(ti)(tj) += w
-      cntI(ti) += w; cntJ(tj) += w
-      if (minI(ti).isNaN || vi < minI(ti)) minI(ti) = vi
-      if (maxI(ti).isNaN || vi > maxI(ti)) maxI(ti) = vi
-      if (minJ(tj).isNaN || vj < minJ(tj)) minJ(tj) = vj
-      if (maxJ(tj).isNaN || vj > maxJ(tj)) maxJ(tj) = vj
-      setI(ti).add(vi); setJ(tj).add(vj)
-    }
-    def meta(edges: Array[Double], mn: Array[Double], mx: Array[Double], cnt: Array[Long],
-             sets: Array[java.util.HashSet[java.lang.Double]]): DimMeta = {
-      val k = cnt.length
-      DimMeta(
-        edges,
-        Array.tabulate(k)(t => if (mn(t).isNaN) edges(t) else mn(t)),
-        Array.tabulate(k)(t => if (mx(t).isNaN) edges(t + 1) else mx(t)),
-        sets.map(_.size.toLong),
-        cnt
-      )
-    }
-    Hist2D(0, 0, meta(edgesI, minI, maxI, cntI, setI), meta(edgesJ, minJ, maxJ, cntJ, setJ), counts)
   }
 }

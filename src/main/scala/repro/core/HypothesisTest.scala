@@ -50,37 +50,26 @@ object HypothesisTest {
   }
 
   /** Assign each value in [lo, hi) to one of `s` equal-width sub-bins and
-    * count. Values equal to `hi` (the closed upper edge of the last bin of a
-    * histogram) land in the final sub-bin.
+    * add its weight (its multiplicity in the sample) to that sub-bin. Values
+    * equal to `hi` (the closed upper edge of the last bin of a histogram)
+    * land in the final sub-bin.
     */
-  def subBinCounts(values: Array[Double], lo: Double, hi: Double, s: Int): Array[Long] = {
+  def subBinCounts(values: Array[Double], weights: Array[Long], lo: Double, hi: Double, s: Int): Array[Long] = {
     val counts = new Array[Long](s)
     val width = hi - lo
     var i = 0
     while (i < values.length) {
       val r0 = if (width <= 0) 0 else ((values(i) - lo) / width * s).toInt
-      val r = math.min(s - 1, math.max(0, r0))
-      counts(r) += 1
+      counts(math.min(s - 1, math.max(0, r0))) += weights(i)
       i += 1
     }
     counts
   }
 
-  /** The paper's IsUniform: true iff the sub-bin counts are consistent with
-    * a uniform distribution at significance `alpha`. Bins that cannot be
-    * subdivided (s < 2) are trivially uniform.
-    */
-  def isUniform(values: Array[Double], lo: Double, hi: Double, u: Long, alpha: Double): Boolean = {
-    val s = subBins(u)
-    if (s < 2 || values.isEmpty) true
-    else {
-      val chi2 = statistic(subBinCounts(values, lo, hi, s))
-      chi2 <= criticalValue(alpha, s - 1)
-    }
-  }
-
-  /** IsUniform on pre-aggregated sub-bin counts (the distributed builder
-    * computes counts via DataFrame aggregation and tests on the driver).
+  /** The paper's IsUniform on sub-bin counts: true iff they are consistent
+    * with a uniform distribution at significance `alpha`. Bins that cannot
+    * be subdivided (fewer than 2 sub-bins) or hold nothing are trivially
+    * uniform.
     */
   def isUniformCounts(counts: Array[Long], alpha: Double): Boolean = {
     if (counts.length < 2 || counts.sum == 0) true

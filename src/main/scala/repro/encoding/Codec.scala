@@ -24,9 +24,24 @@ object Codec {
 
   // ------------------------------------------------------------- encode ----
 
-  def encode(ph: PairwiseHist): Array[Byte] = {
+  def encode(ph: PairwiseHist): Array[Byte] = write(ph)._1
+
+  /** Encoded size with an Eq-11-style breakdown (params / 1-d / 2-d /
+    * counts), recorded section by section while [[encode]]'s writer runs,
+    * so `total` is exactly the encoded length.
+    */
+  def measure(ph: PairwiseHist): SizeBreakdown = write(ph)._2
+
+  def sizeBytes(ph: PairwiseHist): Long = encode(ph).length.toLong
+
+  private def write(ph: PairwiseHist): (Array[Byte], SizeBreakdown) = {
     val bos = new ByteArrayOutputStream()
     val out = new DataOutputStream(bos)
+    var params, h1, h2, cnts = 0L
+    var mark = 0
+    // Bytes written since the previous call.
+    def written(): Long = { val n = out.size() - mark; mark = out.size(); n.toLong }
+
     out.writeShort(Magic)
     out.writeByte(1)
     out.writeShort(ph.d)
@@ -36,22 +51,28 @@ object Codec {
     out.writeDouble(ph.alpha)
     ph.specs.foreach(writeSpec(out, _))
     ph.nullCounts.foreach(writeVarLong(out, _))
-    ph.hist1d.foreach(h => writeDim(out, h.meta))
-    ph.hist1d.foreach(h => writeCountsVec(out, h.meta.counts))
+    params += written()
+    ph.hist1d.foreach(h => writeDimNoCounts(out, h.meta))
+    h1 += written()
+    ph.hist1d.foreach(h => writeCountsFlat(out, h.meta.counts))
+    cnts += written()
     // Pairs in deterministic order. Per Eq 12, pair dimensions store only
     // their ADDITIONAL refined edges + metadata for bins that do not
     // coincide with a 1-d bin (those share the 1-d metadata).
     val pairKeys = ph.hist2d.keys.toSeq.sorted
     writeVarLong(out, pairKeys.size)
+    h2 += written()
     pairKeys.foreach { case (i, j) =>
       out.writeShort(i); out.writeShort(j)
-      val h2 = ph.hist2d((i, j))
-      writePairDim(out, h2.metaI, ph.hist1d(i).meta)
-      writePairDim(out, h2.metaJ, ph.hist1d(j).meta)
-      writeMatrix(out, h2.counts)
+      val h = ph.hist2d((i, j))
+      writePairDim(out, h.metaI, ph.hist1d(i).meta)
+      writePairDim(out, h.metaJ, ph.hist1d(j).meta)
+      h2 += written()
+      writeMatrix(out, h.counts)
+      cnts += written()
     }
     out.flush()
-    bos.toByteArray
+    (bos.toByteArray, SizeBreakdown(params, h1, h2, cnts))
   }
 
   def decode(bytes: Array[Byte]): PairwiseHist = {
@@ -65,9 +86,9 @@ object Codec {
     val alpha = in.readDouble()
     val specs = Array.fill(d)(readSpec(in))
     val nullCounts = Array.fill(d)(readVarLong(in))
-    val dims = Array.fill(d)(readDim(in))
+    val dims = Array.fill(d)(readDimNoCounts(in))
     val hist1d = dims.zipWithIndex.map { case (dm0, i) =>
-      Hist1D(i, dm0.copy(counts = readCountsVec(in, dm0.k)))
+      Hist1D(i, dm0.copy(counts = readCountsFlat(in, dm0.k)))
     }
     val nPairs = readVarLong(in).toInt
     val hist2d = (0 until nPairs).map { _ =>
@@ -82,35 +103,6 @@ object Codec {
     }.toMap
     PairwiseHist(n, nS, m, alpha, specs, hist1d, hist2d, nullCounts)
   }
-
-  /** Encoded size with an Eq-11-style breakdown (params / 1-d / 2-d / counts). */
-  def measure(ph: PairwiseHist): SizeBreakdown = {
-    def sized(f: DataOutputStream => Unit): Long = {
-      val bos = new ByteArrayOutputStream(); val out = new DataOutputStream(bos)
-      f(out); out.flush(); bos.size().toLong
-    }
-    val params = sized { out =>
-      out.writeShort(Magic); out.writeByte(1); out.writeShort(ph.d)
-      out.writeLong(ph.n); out.writeLong(ph.nS); out.writeLong(ph.m); out.writeDouble(ph.alpha)
-      ph.specs.foreach(writeSpec(out, _))
-      ph.nullCounts.foreach(writeVarLong(out, _))
-    }
-    val h1 = sized(out => ph.hist1d.foreach(h => writeDim(out, h.meta)))
-    val h2 = sized { out =>
-      ph.hist2d.toSeq.sortBy(_._1).foreach { case ((i, j), h) =>
-        out.writeShort(0); out.writeShort(0)
-        writePairDim(out, h.metaI, ph.hist1d(i).meta)
-        writePairDim(out, h.metaJ, ph.hist1d(j).meta)
-      }
-    }
-    val cnts = sized { out =>
-      ph.hist1d.foreach(h => writeCountsVec(out, h.meta.counts))
-      ph.hist2d.toSeq.sortBy(_._1).foreach { case (_, h) => writeMatrix(out, h.counts) }
-    }
-    SizeBreakdown(params, h1, h2, cnts)
-  }
-
-  def sizeBytes(ph: PairwiseHist): Long = encode(ph).length.toLong
 
   // --------------------------------------------------------------- parts ----
 
@@ -178,10 +170,6 @@ object Codec {
     DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
   }
 
-  private def writeDim(out: DataOutputStream, dm: DimMeta): Unit = writeDimNoCounts(out, dm)
-
-  private def readDim(in: DataInputStream): DimMeta = readDimNoCounts(in)
-
   /** Pair dimension (Eq 12): only refined edges beyond the 1-d histogram
     * plus metadata of bins that do not coincide with a 1-d bin. Builders
     * apply the same sharing ([[repro.core.Builder.shareDimMeta]]), so the
@@ -235,13 +223,6 @@ object Codec {
     DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
   }
 
-  /** 1-d count vector: dense bit-packed (Eq 13) vs sparse Golomb — smaller wins. */
-  private def writeCountsVec(out: DataOutputStream, counts: Array[Long]): Unit =
-    writeCountsFlat(out, counts)
-
-  private def readCountsVec(in: DataInputStream, k: Int): Array[Long] =
-    readCountsFlat(in, k)
-
   private def writeMatrix(out: DataOutputStream, counts: Array[Array[Long]]): Unit =
     writeCountsFlat(out, counts.flatten)
 
@@ -250,6 +231,7 @@ object Codec {
     Array.tabulate(kI)(ti => flat.slice(ti * kJ, (ti + 1) * kJ))
   }
 
+  /** Count vector: dense bit-packed (Eq 13) vs sparse Golomb — smaller wins. */
   private def writeCountsFlat(out: DataOutputStream, flat: Array[Long]): Unit = {
     val maxC = if (flat.isEmpty) 0L else flat.max
     val lh = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(maxC)) // Eq 13: ceil(log2(1+max))

@@ -73,9 +73,9 @@ class CodecSpec extends AnyFunSuite {
   test("measure breakdown sums close to the true encoded size") {
     val ph = buildSample()
     val b = Codec.measure(ph)
-    val actual = Codec.sizeBytes(ph)
-    // measure re-encodes the same sections, modulo tiny per-pair headers.
-    assert(math.abs(b.total - actual) < 64 + ph.hist2d.size * 4, s"${b.total} vs $actual")
+    val actual = Codec.encode(ph).length
+    // measure records the section sizes of the one encoder.
+    assert(b.total == actual, s"${b.total} vs $actual")
     assert(b.params > 0 && b.hist1d > 0 && b.hist2d > 0 && b.counts > 0)
   }
 
